@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import ClaraError
+from .errors import ClaraError, EmptyText
 from .retrieval import EmbeddingProvider, HashedNgramEmbedder, cosine
 from .taxonomy import Intent, Taxonomy, set_compressed_label
 
@@ -32,10 +32,6 @@ def default_compression_embedder(dimension: int = 256) -> HashedNgramEmbedder:
 
 SOURCE_MODES = ("auto", "local_title", "english_category")
 COMPRESSION_MODES = ("none", "n_word", "symbols_only", "long_target")
-
-
-class EmptyText(ClaraError):
-    """Compression needs non-empty texts."""
 
 
 class TooShort(ClaraError):

@@ -14,6 +14,10 @@ class EmptySession(ClaraError):
     """An operation needs a session with at least one turn."""
 
 
+class EmptyText(ClaraError):
+    """An operation needs a non-empty text (embedding, label compression)."""
+
+
 class ParseError(ClaraError):
     """A record in an input file could not be parsed.
 

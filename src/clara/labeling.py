@@ -14,10 +14,13 @@ from __future__ import annotations
 import json
 import weakref
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Session
 from .errors import ClaraError, ParseError
@@ -90,6 +93,14 @@ _surface_tables: "weakref.WeakKeyDictionary[Taxonomy, tuple]" = weakref.WeakKeyD
 
 
 def _tables(taxonomy: Taxonomy):
+    """Per-taxonomy lookup tables, built once and cached.
+
+    Returns the three exact-match layers (folded surface -> smallest id) and
+    the fuzzy candidates: ``(surface, id)`` pairs sorted lexicographically,
+    their case-folded surfaces, a candidates x alphabet matrix of character
+    counts of those folded surfaces, the alphabet's column per character,
+    and the folded surface lengths.
+    """
     cached = _surface_tables.get(taxonomy)
     if cached is not None:
         return cached
@@ -100,14 +111,15 @@ def _tables(taxonomy: Taxonomy):
         ):
             if surface:
                 exact_layers[layer].setdefault(surface.casefold(), intent.id)
-    candidates = sorted(
-        (
-            (intent.label_surface(), intent.id)
-            for intent in taxonomy.intents
-        ),
-        key=lambda pair: pair[0],
-    )
-    tables = (exact_layers, candidates)
+    candidates = sorted((intent.label_surface(), intent.id) for intent in taxonomy.intents)
+    folded = [surface.casefold() for surface, _ in candidates]
+    columns = {char: col for col, char in enumerate(sorted(set("".join(folded))))}
+    counts = np.zeros((len(folded), len(columns)), dtype=np.int64)
+    for row, surface in enumerate(folded):
+        for char, n in Counter(surface).items():
+            counts[row, columns[char]] = n
+    lengths = np.array([len(surface) for surface in folded], dtype=np.int64)
+    tables = (exact_layers, candidates, folded, counts, columns, lengths)
     _surface_tables[taxonomy] = tables
     return tables
 
@@ -132,8 +144,12 @@ def resolve_label(
 
     Resolution order: the prompt's label map (``mapped``), then
     case-insensitive equality with any compressed label, title, or
-    representative query (``exact``), then the highest gestalt similarity
-    over label surfaces, ties broken by lexicographic candidate (``fuzzy``).
+    representative query (``exact``, smallest id on a shared surface), then
+    the highest gestalt similarity over case-folded label surfaces, ties
+    broken by the smallest ``(surface, id)`` (``fuzzy``).  The fuzzy search
+    scores candidates in descending order of a character-multiset upper
+    bound and stops once no remaining candidate can win, so it returns
+    exactly what scoring every candidate would.
     """
     if not taxonomy.intents:
         raise ClaraError("cannot resolve labels against an empty taxonomy")
@@ -148,18 +164,34 @@ def resolve_label(
         if text.casefold() in folded:
             return folded[text.casefold()], "mapped"
 
-    exact_layers, candidates = _tables(taxonomy)
+    exact_layers, candidates, folded_surfaces, counts, columns, lengths = _tables(taxonomy)
     folded_text = text.casefold()
     for layer in exact_layers:
         if folded_text in layer:
             return layer[folded_text], "exact"
 
-    best_id, best_score = candidates[0][1], -1.0
-    for surface, intent_id in candidates:
-        score = gestalt_similarity(folded_text, surface.casefold())
-        if score > best_score:
-            best_id, best_score = intent_id, score
-    return best_id, "fuzzy"
+    # Best-first over an upper bound: gestalt matches cannot exceed the
+    # characters the two strings share as multisets (difflib's quick_ratio),
+    # and the bound uses gestalt_similarity's own expression, so
+    # score <= bound holds exactly in floating point.
+    mine = np.zeros(len(columns), dtype=np.int64)
+    for char, n in Counter(folded_text).items():
+        if char in columns:
+            mine[columns[char]] = n
+    bounds = 2.0 * np.minimum(counts, mine).sum(axis=1) / (len(folded_text) + lengths)
+    order = np.argsort(-bounds, kind="stable").tolist()
+    bounds = bounds.tolist()
+    best_pos, best_score = 0, -1.0
+    for pos in order:
+        bound = bounds[pos]
+        # ties go to the earlier candidate, so an equal bound can only win
+        # from an earlier position; candidates after this one cannot win
+        if bound < best_score or (bound == best_score and pos > best_pos):
+            break
+        score = gestalt_similarity(folded_text, folded_surfaces[pos])
+        if score > best_score or (score == best_score and pos < best_pos):
+            best_pos, best_score = pos, score
+    return candidates[best_pos][1], "fuzzy"
 
 
 # -- per-session pipeline --------------------------------------------------------

@@ -16,14 +16,10 @@ import numpy as np
 import requests
 
 from .corpus import LabeledExample, Session
-from .errors import ClaraError
+from .errors import ClaraError, EmptyText
 
 DEFAULT_K = 8
 TURN_SEPARATOR = " "
-
-
-class EmptyText(ClaraError):
-    """Cannot embed an empty string."""
 
 
 class ProviderUnavailable(ClaraError):

@@ -41,6 +41,17 @@ class LayerOutOfRange(ClaraError):
     """Layer index outside 1..3."""
 
 
+class UnknownIntent(ClaraError, KeyError):
+    """No intent has the requested id.
+
+    Also a ``KeyError``, so mapping-style ``except KeyError`` callers still
+    catch it.
+    """
+
+    # KeyError's own __str__ would quote the whole message
+    __str__ = ClaraError.__str__
+
+
 @dataclass(frozen=True)
 class Intent:
     id: str
@@ -182,7 +193,7 @@ class Taxonomy:
         try:
             return self._by_id[intent_id]
         except KeyError:
-            raise KeyError(f"unknown intent id {intent_id!r}") from None
+            raise UnknownIntent(f"unknown intent id {intent_id!r}") from None
 
     def has_intent(self, intent_id: str) -> bool:
         return intent_id in self._by_id

@@ -1,8 +1,13 @@
+import dataclasses
 import difflib
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from clara.benchmarks import build_taxonomy, make_examples, make_sessions
+from clara import labeling
+from clara.benchmarks import build_taxonomy, make_examples, make_sessions, market_corpus
+from clara.gestalt import gestalt_similarity
 from clara.labeling import (
     EmptyGeneration,
     LabelingRunError,
@@ -15,6 +20,27 @@ from clara.labeling import (
 )
 from clara.llm import MockBackend, gold_oracle_backend
 from clara.retrieval import HashedTrigramEmbedder, build_index
+from clara.taxonomy import Intent, Taxonomy
+
+
+def exhaustive_fuzzy(generated, taxonomy):
+    """Reference: score every candidate, first maximum in (surface, id) order."""
+    text = generated.strip().casefold()
+    candidates = sorted((intent.label_surface(), intent.id) for intent in taxonomy.intents)
+    scores = [gestalt_similarity(text, surface.casefold()) for surface, _ in candidates]
+    return candidates[scores.index(max(scores))][1]
+
+
+def titled_taxonomy(titles_and_ids):
+    return Taxonomy(
+        Intent(
+            id=intent_id,
+            title=title,
+            category_path=("C", "C", "C"),
+            rep_query=f"representative query {intent_id}",
+        )
+        for title, intent_id in titles_and_ids
+    )
 
 
 class TestResolveLabel:
@@ -54,6 +80,65 @@ class TestResolveLabel:
     def test_empty_generation(self, small_taxonomy):
         with pytest.raises(EmptyGeneration):
             resolve_label("   ", small_taxonomy)
+
+    def test_shared_title_ties_go_to_smallest_id_in_every_layer(self):
+        taxonomy = titled_taxonomy([("Cancel Order", "I9"), ("Cancel Order", "I2")])
+        assert resolve_label("Cancel Order", taxonomy) == ("I2", "exact")
+        assert resolve_label("Cancl Order", taxonomy) == ("I2", "fuzzy")
+
+
+# Small alphabets make many candidates tie on both score and bound; the
+# upper/lower-case pairs fold to the same surface; "x" and "é" appear in no
+# surface.
+_surfaces = st.text(alphabet="aAbB ", min_size=1, max_size=7).filter(str.strip)
+
+
+@given(
+    titles=st.lists(_surfaces, min_size=1, max_size=10),
+    swapped=st.integers(min_value=0, max_value=10),
+    generation=st.text(alphabet="aAbB xé", min_size=1, max_size=9).filter(str.strip),
+    order_seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_pruned_fuzzy_equals_exhaustive_argmax(titles, swapped, generation, order_seed):
+    titles = titles + [title.swapcase() for title in titles[:swapped]]
+    ids = [f"I{n}" for n in range(len(titles))]
+    random.Random(order_seed).shuffle(ids)
+    taxonomy = titled_taxonomy(zip(titles, ids))
+    intent_id, how = resolve_label(generation, taxonomy)
+    if how == "fuzzy":
+        assert intent_id == exhaustive_fuzzy(generation, taxonomy)
+
+
+def test_catalog_fuzzy_resolution_is_exact_and_pruned(monkeypatch):
+    taxonomy, _, _ = market_corpus("en", 500, 0, 0, seed=1)
+    rng = random.Random(5)
+    surfaces = [intent.label_surface() for intent in taxonomy.intents]
+    generations = []
+    for _ in range(120):
+        chars = list(rng.choice(surfaces))
+        pos = rng.randrange(len(chars))
+        edit = rng.randrange(3)
+        if edit == 0:
+            del chars[pos]
+        elif edit == 1:
+            chars.insert(pos, rng.choice("aex17 "))
+        else:
+            chars[pos] = rng.choice("aex17 ")
+        generations.append("".join(chars))
+
+    calls = []
+    real = labeling.gestalt_similarity
+    monkeypatch.setattr(
+        labeling, "gestalt_similarity", lambda a, b: calls.append(b) or real(a, b)
+    )
+    resolved = [(g, *resolve_label(g, taxonomy)) for g in generations]
+    fuzzy = [(g, intent_id) for g, intent_id, how in resolved if how == "fuzzy"]
+    assert len(fuzzy) > 100
+    assert [intent_id for _, intent_id in fuzzy] == [
+        exhaustive_fuzzy(g, taxonomy) for g, _ in fuzzy
+    ]
+    # the exhaustive scan scores all 500 candidates per resolution
+    assert len(calls) < 25 * len(fuzzy)
 
 
 def pipeline_fixture(n_sessions=40, seed=7):
@@ -161,6 +246,17 @@ class TestPseudoLabelCorpus:
         assert stats.errored == 3
         assert stats.total == 10
         assert len(verdicts) == 7
+
+    def test_gold_intent_missing_from_catalog_errors_one_session(self):
+        taxonomy, sessions, index = pipeline_fixture(n_sessions=10)
+        sessions[3] = dataclasses.replace(sessions[3], gold_intent="nope")
+        backend = gold_oracle_backend(sessions, taxonomy)
+        labels, stats, verdicts = pseudo_label_corpus(
+            sessions, taxonomy, index, "base", 4, backend, 7
+        )
+        assert stats.errored == 1
+        assert len(verdicts) == 9
+        assert sessions[3].id not in {v.session_id for v in verdicts}
 
     def test_majority_failures_abort(self):
         taxonomy, sessions, index = pipeline_fixture(n_sessions=10)

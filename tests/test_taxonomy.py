@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from clara.errors import ParseError
+from clara.errors import ClaraError, ParseError
 from clara.taxonomy import (
     DanglingCategory,
     DepthExceeded,
@@ -11,6 +11,7 @@ from clara.taxonomy import (
     Intent,
     LayerOutOfRange,
     Taxonomy,
+    UnknownIntent,
     layer_classes,
     load_taxonomy,
     save_taxonomy,
@@ -204,3 +205,10 @@ def test_multi_intent_leaf_counts():
     tax = Taxonomy(intents)
     assert tax.layer_sizes[2] == 1
     assert [i.id for i in tax.intents_at_leaf(("A", "B", "C"))] == ["I1", "I2"]
+
+
+def test_unknown_intent_is_a_clara_error_and_a_key_error(small_taxonomy):
+    with pytest.raises(UnknownIntent, match="unknown intent id 'nope'") as exc:
+        small_taxonomy.intent("nope")
+    assert isinstance(exc.value, ClaraError)
+    assert isinstance(exc.value, KeyError)
