@@ -165,7 +165,7 @@ def cmd_train(args, config):
     embedder = _embedder(args)
     pairs: list[tuple[str, str]] = []
     if args.examples:
-        for example in corpus.load_examples(args.examples):
+        for example in corpus.load_examples(args.examples, taxonomy=tax):
             pairs.append((example.query, example.intent_id))
     if args.pseudo:
         for label in labeling.load_pseudo_labels(args.pseudo):

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .errors import ClaraError, EmptyText
-from .retrieval import EmbeddingProvider, HashedNgramEmbedder, cosine
+from .retrieval import EmbeddingProvider, HashedNgramEmbedder, cosine, embed_all
 from .taxonomy import Intent, Taxonomy, set_compressed_label
 
 DEFAULT_ALPHA = 0.05
@@ -61,8 +63,14 @@ def compression_objective(
     """Score a candidate label: compactness plus semantic divergence."""
     if not candidate.strip() or not original.strip():
         raise EmptyText("candidate and original must be non-empty")
+    return _scored(candidate, original, embedder.embed(candidate), embedder.embed(original), alpha)
+
+
+def _scored(
+    candidate: str, original: str, vector: np.ndarray, original_vector: np.ndarray, alpha: float
+) -> CompressionResult:
     compactness = alpha * token_count(candidate)
-    divergence = 1.0 - cosine(embedder.embed(candidate), embedder.embed(original))
+    divergence = 1.0 - cosine(vector, original_vector)
     return CompressionResult(
         original=original,
         compressed=candidate,
@@ -82,15 +90,17 @@ def compress_label(
     """The minimum-objective n-word subsequence of the original label.
 
     All order-preserving n-word subsequences are enumerated; ties keep the
-    earliest candidate in enumeration order.
+    earliest candidate in enumeration order.  The original and every
+    candidate are embedded in one :func:`embed_all` call.
     """
     words = original.split()
     if len(words) < n:
         raise TooShort(f"{original!r} has {len(words)} words, need at least {n}")
+    candidates = [" ".join(words[i] for i in picks) for picks in combinations(range(len(words)), n)]
+    original_vector, *vectors = embed_all(embedder, [original, *candidates])
     best: CompressionResult | None = None
-    for picks in combinations(range(len(words)), n):
-        candidate = " ".join(words[i] for i in picks)
-        result = compression_objective(candidate, original, embedder, alpha)
+    for candidate, vector in zip(candidates, vectors):
+        result = _scored(candidate, original, vector, original_vector, alpha)
         if best is None or result.objective < best.objective:
             best = result
     assert best is not None

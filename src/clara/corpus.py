@@ -248,9 +248,12 @@ def _read_jsonl(path: str | Path):
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            if not isinstance(record, dict):
+                raise ParseError("record is not a JSON object", line=lineno)
+            yield lineno, record
 
 
 def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
@@ -259,19 +262,21 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def load_examples(path: str | Path) -> list[LabeledExample]:
+def load_examples(path: str | Path, taxonomy: Taxonomy | None = None) -> list[LabeledExample]:
+    """Single-turn examples; with a ``taxonomy``, every intent id must be in it."""
     examples = []
     for lineno, record in _read_jsonl(path):
         try:
-            examples.append(
-                LabeledExample(
-                    query=str(record["query"]),
-                    intent_id=str(record["intent_id"]),
-                    language=str(record.get("lang", "en")),
-                )
+            example = LabeledExample(
+                query=str(record["query"]),
+                intent_id=str(record["intent_id"]),
+                language=str(record.get("lang", "en")),
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad single-turn record: {exc}", line=lineno) from exc
+        if taxonomy is not None and not taxonomy.has_intent(example.intent_id):
+            raise ParseError(f"unknown intent id {example.intent_id!r}", line=lineno)
+        examples.append(example)
     return examples
 
 
@@ -290,10 +295,13 @@ def load_sessions(path: str | Path) -> list[Session]:
     for lineno, record in _read_jsonl(path):
         try:
             history = record.get("history_intents")
+            turns = record["turns"]
+            if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
+                raise ParseError("turns must be a list of strings", line=lineno)
             sessions.append(
                 Session(
                     id=str(record["id"]),
-                    turns=tuple(str(t) for t in record["turns"]),
+                    turns=tuple(turns),
                     history_intents=tuple(history) if history is not None else None,
                     gold_intent=record.get("gold_intent"),
                 )

@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import Session
 from .errors import ClaraError, EmptySession
-from .retrieval import EmbeddingProvider, TURN_SEPARATOR, cosine
+from .retrieval import EmbeddingProvider, TURN_SEPARATOR, cosine, embed_all
 from .taxonomy import DEPTH, PATH_SEPARATOR, Taxonomy
 
 STRATEGIES = ("single_turn", "naive_concat", "selective_concat")
@@ -440,12 +440,10 @@ def build_dataset(
     embedder: EmbeddingProvider,
 ) -> HTCDataset:
     """Embed (text, intent_id) pairs into a frozen training dataset."""
-    features = np.zeros((len(pairs), embedder.dimension))
     targets = np.zeros((len(pairs), DEPTH), dtype=int)
-    for i, (text, intent_id) in enumerate(pairs):
-        features[i] = embedder.embed(text)
+    for i, (_, intent_id) in enumerate(pairs):
         targets[i] = targets_for_intent(taxonomy, intent_id)
-    return HTCDataset(features, targets)
+    return HTCDataset(embed_all(embedder, [text for text, _ in pairs]), targets)
 
 
 def _accuracy(cache_probs: list[np.ndarray], targets: np.ndarray) -> float:

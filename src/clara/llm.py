@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -146,6 +147,7 @@ class HttpBackend:
         self.backoff = backoff
         self.request_budget = request_budget
         self._spent = 0
+        self._spent_lock = threading.Lock()
 
     @classmethod
     def from_env(cls, **kwargs) -> "HttpBackend":
@@ -158,9 +160,10 @@ class HttpBackend:
         return cls(endpoint, model, api_key=os.environ.get(ENV_API_KEY), **kwargs)
 
     def complete(self, request: CompletionRequest) -> str:
-        if self.request_budget is not None and self._spent >= self.request_budget:
-            raise BudgetExceeded(f"request budget of {self.request_budget} spent")
-        self._spent += 1
+        with self._spent_lock:
+            if self.request_budget is not None and self._spent >= self.request_budget:
+                raise BudgetExceeded(f"request budget of {self.request_budget} spent")
+            self._spent += 1
 
         body = {
             "model": self.model,

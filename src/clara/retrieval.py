@@ -20,6 +20,8 @@ from .errors import ClaraError, EmptyText
 
 DEFAULT_K = 8
 TURN_SEPARATOR = " "
+# most texts RemoteEmbedder.embed_batch sends in one request
+EMBED_BATCH = 64
 
 
 class ProviderUnavailable(ClaraError):
@@ -39,6 +41,12 @@ class EmptyIndex(ClaraError):
 
 
 class EmbeddingProvider(Protocol):
+    """Maps a text to a ``(dimension,)`` vector.
+
+    A provider may also define ``embed_batch(texts) -> (n, dimension)``,
+    which :func:`embed_all` uses in place of one ``embed`` call per text.
+    """
+
     dimension: int
 
     def embed(self, text: str) -> np.ndarray: ...
@@ -93,10 +101,11 @@ class RemoteEmbedder:
     @property
     def dimension(self) -> int:
         if self._dimension is None:
-            self._dimension = len(self._request(["dimension probe"])[0])
+            self.embed("dimension probe")
         return self._dimension
 
-    def _request(self, texts: list[str]) -> list[list[float]]:
+    def _request(self, texts: list[str]) -> np.ndarray:
+        """One request's ``(len(texts), dimension)`` reply, validated."""
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -111,22 +120,54 @@ class RemoteEmbedder:
                 f"embedding service returned HTTP {response.status_code}"
             )
         try:
-            embeddings = response.json()["embeddings"]
-        except (ValueError, KeyError) as exc:
+            vectors = np.asarray(response.json()["embeddings"], dtype=float)
+        except (ValueError, KeyError, TypeError) as exc:
             raise ProviderUnavailable(f"malformed embedding response: {exc}") from exc
-        return embeddings
+        if vectors.ndim != 2 or vectors.shape[0] != len(texts):
+            raise ProviderUnavailable(
+                f"embedding response has shape {vectors.shape} for {len(texts)} texts"
+            )
+        if self._dimension is None:
+            self._dimension = vectors.shape[1]
+        if vectors.shape[1] != self._dimension:
+            raise ProviderUnavailable(
+                f"embedding dimension changed from {self._dimension} to {vectors.shape[1]}"
+            )
+        return vectors
+
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """Rows for ``texts`` in input order; each distinct text is sent once,
+        at most ``EMBED_BATCH`` texts per request."""
+        if not all(texts):
+            raise EmptyText("cannot embed empty text")
+        distinct = list(dict.fromkeys(texts))
+        if not distinct:
+            return np.zeros((0, self.dimension))
+        vectors = np.concatenate(
+            [
+                self._request(distinct[start : start + EMBED_BATCH])
+                for start in range(0, len(distinct), EMBED_BATCH)
+            ]
+        )
+        row_of = {text: i for i, text in enumerate(distinct)}
+        return vectors[[row_of[text] for text in texts]]
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise EmptyText("cannot embed empty text")
-        vector = np.asarray(self._request([text])[0], dtype=float)
-        if self._dimension is None:
-            self._dimension = vector.shape[0]
-        if vector.shape[0] != self._dimension:
-            raise ProviderUnavailable(
-                f"embedding dimension changed from {self._dimension} to {vector.shape[0]}"
-            )
-        return vector
+        return self.embed_batch([text])[0]
+
+
+def embed_all(provider: EmbeddingProvider, texts: Sequence[str]) -> np.ndarray:
+    """The ``(len(texts), dimension)`` embeddings of ``texts``, in order.
+
+    Calls the provider's ``embed_batch`` when it has one, otherwise stacks
+    one ``embed`` call per text.
+    """
+    embed_batch = getattr(provider, "embed_batch", None)
+    if embed_batch is not None:
+        return embed_batch(texts)
+    if not texts:
+        return np.zeros((0, provider.dimension))
+    return np.array([provider.embed(text) for text in texts], dtype=float)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -183,8 +224,8 @@ class RetrievalIndex:
 
 
 def build_index(examples: Sequence[LabeledExample], provider: EmbeddingProvider) -> RetrievalIndex:
-    entries = [(example, provider.embed(example.query)) for example in examples]
-    return RetrievalIndex(entries, provider)
+    vectors = embed_all(provider, [example.query for example in examples])
+    return RetrievalIndex(list(zip(examples, vectors)), provider)
 
 
 def session_representation(session: Session, provider: EmbeddingProvider) -> np.ndarray:

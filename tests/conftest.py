@@ -61,12 +61,13 @@ def http_server():
     """A local HTTP server answering with a pluggable respond(path, body, headers)."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CannedHandler)
     server.respond = lambda path, body, headers: (200, {})
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)
 
 

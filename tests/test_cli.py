@@ -85,7 +85,40 @@ class TestCorpusCommands:
         assert all(s.gold_intent for s in sessions)
 
 
+    @pytest.mark.parametrize(
+        "bad_record",
+        ["[1, 2]", "null", '{"id": "s9", "turns": "hello there"}', '{"id": "s9", "turns": ["hi", 3]}'],
+        ids=["array", "null", "turns-is-a-string", "turn-not-a-string"],
+    )
+    def test_malformed_session_names_its_line(self, workspace, capsys, bad_record):
+        tmp_path, kb, examples_path, _ = workspace
+        sessions_path = tmp_path / "bad-sessions.jsonl"
+        good = json.dumps({"id": "s1", "turns": ["where is my parcel"]})
+        sessions_path.write_text(f"{good}\n\n{bad_record}\n", encoding="utf-8")
+        code = run(
+            ["corpus", "stats", "--kb", kb, "--examples", examples_path, "--sessions", sessions_path]
+        )
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
+
 class TestPipelineCommands:
+    def test_train_unknown_intent_names_its_line(self, workspace, capsys):
+        tmp_path, kb, _, _ = workspace
+        examples_path = tmp_path / "bad-examples.jsonl"
+        known = taxonomy.load_taxonomy(kb).intents[0].id
+        examples_path.write_text(
+            json.dumps({"query": "cancel it", "intent_id": known})
+            + "\n"
+            + json.dumps({"query": "do the thing", "intent_id": "nope"})
+            + "\n",
+            encoding="utf-8",
+        )
+        code = run(["train", "--kb", kb, "--examples", examples_path, "-o", tmp_path / "m.npz"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'nope'" in err
+
     def test_pseudo_label_worker_determinism(self, workspace):
         tmp_path, kb, examples_path, sessions_path = workspace
         outputs = {}

@@ -130,7 +130,48 @@ class TestCrossLingualSource:
         assert cross_lingual_source(intent, "english_category") == "Refund"
 
 
+class CountingEmbedder:
+    """An embed-only provider that counts its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+def per_candidate_compress_label(original, embedder, n=2, alpha=0.05):
+    """Reference: score each candidate with compression_objective, keep the first minimum."""
+    words = original.split()
+    best = None
+    for picks in combinations(range(len(words)), n):
+        result = compression_objective(" ".join(words[i] for i in picks), original, embedder, alpha)
+        if best is None or result.objective < best.objective:
+            best = result
+    return best
+
+
 class TestCompressAll:
+    def test_catalog_embeds_original_once(self, monkeypatch):
+        from clara import compress
+        from clara.benchmarks import market_corpus
+        from clara.retrieval import HashedTrigramEmbedder
+
+        taxonomy, _, _ = market_corpus("en", 500, 0, 0, seed=1)
+        batched = CountingEmbedder(HashedTrigramEmbedder(64))
+        labels, report = compress_all(taxonomy, batched)
+        monkeypatch.setattr(compress, "compress_label", per_candidate_compress_label)
+        reference = CountingEmbedder(HashedTrigramEmbedder(64))
+        expected_labels, expected_report = compress_all(taxonomy, reference)
+        assert [i.compressed_label for i in labels.intents] == [
+            i.compressed_label for i in expected_labels.intents
+        ]
+        assert report.to_dict() == expected_report.to_dict()
+        assert (batched.calls, reference.calls) == (2000, 3000)
+
     def test_collision_forces_longer_label(self, embedder):
         intents = [
             Intent("A1", "Cancel Order", ("L", "O", "C1"), "cancel my order"),

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,44 @@ class TestHttpBackend:
         backend.complete(request(("user", "2")))
         with pytest.raises(BudgetExceeded):
             backend.complete(request(("user", "3")))
+
+    def test_budget_holds_across_threads(self, http_server, server_url):
+        served = []
+
+        def respond(path, body, headers):
+            served.append(body["messages"][0]["content"])
+            return 200, {"choices": [{"message": {"content": "ok"}}]}
+
+        http_server.respond = respond
+        budget, n_threads, calls_per_thread = 5, 8, 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                served.clear()
+                backend = HttpBackend(server_url, model="m", request_budget=budget)
+                outcomes = []
+                start = threading.Barrier(n_threads)
+
+                def worker():
+                    start.wait(timeout=10)
+                    for _ in range(calls_per_thread):
+                        try:
+                            outcomes.append(backend.complete(request(("user", "hi"))))
+                        except BudgetExceeded:
+                            outcomes.append(None)
+
+                threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(served) == budget
+                assert outcomes.count("ok") == budget
+                assert outcomes.count(None) == n_threads * calls_per_thread - budget
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("CLARA_LLM_ENDPOINT", raising=False)

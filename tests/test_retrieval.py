@@ -207,3 +207,120 @@ class TestRemoteEmbedder:
         http_server.respond = lambda path, body, headers: (200, {"nope": []})
         with pytest.raises(ProviderUnavailable):
             RemoteEmbedder(server_url + "/embed").embed("hello")
+
+
+def serve_trigrams(http_server, dimension=64):
+    """Answer each request with trigram embeddings; returns the list of text batches received."""
+    received = []
+    reference = HashedTrigramEmbedder(dimension)
+
+    def respond(path, body, headers):
+        received.append(body["texts"])
+        return 200, {"embeddings": [reference.embed(text).tolist() for text in body["texts"]]}
+
+    http_server.respond = respond
+    return received
+
+
+class TestRemoteBatching:
+    def test_build_index_sends_batches(self, http_server, server_url):
+        received = serve_trigrams(http_server)
+        examples = [LabeledExample(f"query number {i}", f"I{i % 7}") for i in range(200)]
+        index = build_index(examples, RemoteEmbedder(server_url + "/embed"))
+        assert [len(batch) for batch in received] == [64, 64, 64, 8]
+        per_text = RemoteEmbedder(server_url + "/embed")
+        local = HashedTrigramEmbedder(64)
+        for example, vector in index.entries:
+            assert vector.tobytes() == per_text.embed(example.query).tobytes()
+            assert vector.tobytes() == local.embed(example.query).tobytes()
+
+    def test_repeated_texts_sent_once(self, http_server, server_url):
+        received = serve_trigrams(http_server)
+        vectors = RemoteEmbedder(server_url + "/embed").embed_batch(["b", "a", "b", "c", "a"])
+        assert received == [["b", "a", "c"]]
+        assert vectors.shape == (5, 64)
+        assert np.array_equal(vectors[0], vectors[2]) and np.array_equal(vectors[1], vectors[4])
+        assert np.array_equal(vectors[3], HashedTrigramEmbedder(64).embed("c"))
+
+    def test_empty_text_rejected_before_sending(self, http_server, server_url):
+        received = serve_trigrams(http_server)
+        with pytest.raises(EmptyText):
+            RemoteEmbedder(server_url + "/embed").embed_batch(["fine", ""])
+        assert received == []
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            lambda texts: texts[1:],  # too few vectors
+            lambda texts: texts + texts[:1],  # too many vectors
+            lambda texts: [[1.0, 2.0]] + [[1.0, 2.0, 3.0]] * (len(texts) - 1),  # ragged
+            lambda texts: [],
+            lambda texts: [["x"] * 3 for _ in texts],
+        ],
+        ids=["too-few", "too-many", "ragged", "empty", "not-numbers"],
+    )
+    def test_malformed_batch_reply(self, http_server, server_url, reply):
+        def respond(path, body, headers):
+            return 200, {"embeddings": reply([[1.0, 2.0, 3.0] for _ in body["texts"]])}
+
+        http_server.respond = respond
+        with pytest.raises(ProviderUnavailable):
+            RemoteEmbedder(server_url + "/embed").embed_batch(["one", "two", "three"])
+
+    def test_no_vector_for_single_text(self, http_server, server_url):
+        http_server.respond = lambda path, body, headers: (200, {"embeddings": []})
+        with pytest.raises(ProviderUnavailable):
+            RemoteEmbedder(server_url + "/embed").embed("hello")
+
+    def test_dimension_change_between_requests(self, http_server, server_url):
+        def respond(path, body, headers):
+            width = 3 if "first" in body["texts"] else 4
+            return 200, {"embeddings": [[1.0] * width for _ in body["texts"]]}
+
+        http_server.respond = respond
+        emb = RemoteEmbedder(server_url + "/embed")
+        assert emb.embed("first").shape == (3,)
+        with pytest.raises(ProviderUnavailable):
+            emb.embed_batch(["second", "third"])
+
+
+class EmbedOnly:
+    """A provider with ``embed`` alone, counting calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.calls = 0
+
+    def embed(self, text):
+        self.calls += 1
+        return self.inner.embed(text)
+
+
+class Batching(EmbedOnly):
+    def embed_batch(self, texts):
+        return np.stack([self.inner.embed(text) for text in texts])
+
+
+def test_embed_only_provider_matches_batching_provider():
+    from clara import compress, htc
+    from clara.benchmarks import build_taxonomy, make_examples
+
+    tax = build_taxonomy()
+    examples = make_examples(tax, 150, seed=3)
+    pairs = [(e.query, e.intent_id) for e in examples]
+    results = {}
+    for kind in (EmbedOnly, Batching):
+        embedder = kind(HashedTrigramEmbedder(64))
+        index = build_index(examples, embedder)
+        dataset = htc.build_dataset(pairs, tax, embedder)
+        compressed, report = compress.compress_all(tax, embedder)
+        results[kind] = (
+            index._matrix.tobytes(),
+            dataset.features.tobytes(),
+            dataset.targets.tobytes(),
+            [i.compressed_label for i in compressed.intents],
+            report.to_dict(),
+        )
+        assert (embedder.calls == 0) == (kind is Batching)
+    assert results[EmbedOnly] == results[Batching]
