@@ -10,9 +10,10 @@ persisted artifacts.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+from . import jsonio
 from .benchmarks import Benchmark, build_benchmark
 from .compress import COMPRESSION_MODES, apply_compression_mode
 from .labeling import pseudo_label_corpus
@@ -70,20 +71,7 @@ class AblationRow:
     p_vs_baseline: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "template": self.template,
-            "self_consistency": self.self_consistency,
-            "total": self.total,
-            "kept": self.kept,
-            "retention": self.retention,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "precision_hits": self.precision_hits,
-            "precision_n": self.precision_n,
-            "hallucination_rate": self.hallucination_rate,
-            "p_vs_baseline": self.p_vs_baseline,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,11 +114,6 @@ def run_ablation(config: AblationConfig, bundle: Benchmark | None = None) -> Abl
                 workers=config.workers,
             )
             summary = consistency_precision(verdicts, golds)
-            kept = [v for v in verdicts if v.consistent]
-            kept_hits = sum(1 for v in kept if v.final_label == golds[v.session_id])
-            all_hits = sum(
-                1 for v in verdicts if v.runs[0].intent_id == golds[v.session_id]
-            )
             for with_consistency in config.consistency:
                 if with_consistency:
                     row = AblationRow(
@@ -142,8 +125,8 @@ def run_ablation(config: AblationConfig, bundle: Benchmark | None = None) -> Abl
                         retention=stats.retention_rate,
                         accuracy=summary.accuracy_all,
                         precision=summary.precision_kept,
-                        precision_hits=kept_hits,
-                        precision_n=len(kept),
+                        precision_hits=summary.kept_hits,
+                        precision_n=summary.kept,
                         hallucination_rate=stats.hallucination_rate,
                     )
                 else:
@@ -156,8 +139,8 @@ def run_ablation(config: AblationConfig, bundle: Benchmark | None = None) -> Abl
                         retention=1.0,
                         accuracy=summary.accuracy_all,
                         precision=summary.accuracy_all,
-                        precision_hits=all_hits,
-                        precision_n=len(verdicts),
+                        precision_hits=summary.all_hits,
+                        precision_n=summary.total,
                         hallucination_rate=stats.hallucination_rate,
                     )
                 report.rows.append(row)
@@ -200,5 +183,4 @@ def write_csv(report: AblationReport, path: str | Path) -> None:
 
 
 def write_json(report: AblationReport, path: str | Path) -> None:
-    payload = {"rows": [row.to_dict() for row in report.rows]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    jsonio.write_json(path, {"rows": [row.to_dict() for row in report.rows]})

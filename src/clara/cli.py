@@ -1,15 +1,14 @@
 """Command-line entry point.
 
 Subcommands: taxonomy validate|compress, corpus stats|synth|transitions,
-pseudo-label, train, predict, eval, ablate.  All file inputs and outputs use
-the JSON-lines formats of the corresponding modules.  Exit codes: 0 on
-success, 2 on validation failure, 1 on runtime error.
+pseudo-label, train, predict, eval, ablate.  Every JSON and JSON-lines file
+goes through :mod:`clara.jsonio`.  Exit codes: 0 on success, 2 on validation
+failure (malformed input names its line), 1 on runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -18,6 +17,7 @@ from . import (
     compress,
     corpus,
     htc,
+    jsonio,
     labeling,
     llm,
     metrics,
@@ -25,13 +25,13 @@ from . import (
     retrieval,
     taxonomy,
 )
-from .errors import ClaraError
+from .errors import ClaraError, ParseError
 
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return jsonio.read_json(path)
 
 
 def _embedder(args) -> retrieval.EmbeddingProvider:
@@ -55,8 +55,11 @@ def _backend(args, config: dict, sessions=None, tax=None) -> llm.Backend:
         rules_path = getattr(args, "mock_rules", None) or config.get("mock_rules")
         if not rules_path:
             raise ClaraError("mock backend needs --mock-rules or config.mock_rules")
-        script = json.loads(Path(rules_path).read_text(encoding="utf-8"))
-        rules = [(rule["contains"], rule["response"]) for rule in script.get("rules", [])]
+        script = jsonio.read_json(rules_path)
+        try:
+            rules = [(rule["contains"], rule["response"]) for rule in script.get("rules", [])]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"mock rules need 'contains' and 'response': {exc}") from exc
         return llm.MockBackend(rules=rules, default=script.get("default"))
     if kind == "oracle":
         missing = [s.id for s in sessions if s.gold_intent is None]
@@ -93,9 +96,7 @@ def cmd_taxonomy_compress(args, config):
     )
     taxonomy.save_taxonomy(updated, args.output)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        jsonio.write_json(args.report, report.to_dict())
     print(
         f"compressed {len(updated.intents)} labels "
         f"({report.collisions_resolved} collisions resolved, {report.suffixed} suffixed)"
@@ -147,12 +148,7 @@ def cmd_pseudo_label(args, config):
     if args.stats:
         labeling.save_filter_stats(stats, args.stats)
     if args.verdicts:
-        with Path(args.verdicts).open("w", encoding="utf-8") as handle:
-            for verdict in verdicts:
-                handle.write(
-                    json.dumps(labeling.verdict_to_dict(verdict), ensure_ascii=False, sort_keys=True)
-                    + "\n"
-                )
+        jsonio.write_jsonl(args.verdicts, map(labeling.verdict_to_dict, verdicts))
     print(
         f"kept {stats.kept}/{stats.total} sessions "
         f"(retention {stats.retention_rate:.4f}, hallucination {stats.hallucination_rate:.4f})"
@@ -196,9 +192,7 @@ def cmd_train(args, config):
     )
     htc.save_params(params, args.output, taxonomy=tax)
     if args.history:
-        Path(args.history).write_text(
-            json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        jsonio.write_json(args.history, history)
     last = history[-1] if history else {}
     print(
         f"trained {len(history)} epochs on {len(train_set)} samples "
@@ -212,22 +206,21 @@ def cmd_predict(args, config):
     params = htc.load_params(args.model, taxonomy=tax)
     embedder = _embedder(args)
     sessions = corpus.load_sessions(args.sessions)
-    with Path(args.output).open("w", encoding="utf-8") as handle:
-        for session in sessions:
-            prediction = htc.predict(session, args.strategy, params, tax, embedder)
-            handle.write(
-                json.dumps(
-                    {
-                        "session_id": session.id,
-                        "intent_id": prediction.intent_id,
-                        "layer_classes": list(prediction.layer_classes),
-                        "strategy": prediction.strategy,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    predictions = (
+        htc.predict(session, args.strategy, params, tax, embedder) for session in sessions
+    )
+    jsonio.write_jsonl(
+        args.output,
+        (
+            {
+                "session_id": session.id,
+                "intent_id": prediction.intent_id,
+                "layer_classes": list(prediction.layer_classes),
+                "strategy": prediction.strategy,
+            }
+            for session, prediction in zip(sessions, predictions)
+        ),
+    )
     print(f"predicted {len(sessions)} sessions -> {args.output}")
     return 0
 
@@ -235,11 +228,11 @@ def cmd_predict(args, config):
 def cmd_eval(args, config):
     if args.replay:
         records = []
-        with Path(args.replay).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+        for lineno, record in jsonio.read_jsonl(args.replay):
+            for name in ("completed_flow", "transferred", "bad_rating"):
+                if name not in record:
+                    raise ParseError(f"missing field {name!r}", line=lineno)
+            records.append(record)
         rr = metrics.resolution_rate(records)
         good = sum(1 for r in records if r.get("rating") == "good")
         bad = sum(1 for r in records if r.get("rating") == "bad")
@@ -255,12 +248,11 @@ def cmd_eval(args, config):
     sessions = corpus.load_sessions(args.sessions)
     golds = {s.id: s.gold_intent for s in sessions if s.gold_intent is not None}
     predicted = {}
-    with Path(args.predictions).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                predicted[record["session_id"]] = record["intent_id"]
+    for lineno, record in jsonio.read_jsonl(args.predictions):
+        try:
+            predicted[record["session_id"]] = record["intent_id"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"bad prediction record: {exc}", line=lineno) from exc
     ids = [sid for sid in golds if sid in predicted]
     if not ids:
         raise ClaraError("no overlapping sessions between predictions and golds")

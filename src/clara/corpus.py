@@ -7,7 +7,6 @@ sessions along sampled intent paths.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ClaraError, ParseError
+from .jsonio import read_json, read_jsonl, write_json, write_jsonl
 from .taxonomy import Taxonomy
 
 _SEED_MASK = (1 << 63) - 1
@@ -241,31 +241,10 @@ def split_validation(items: Sequence, k: int, seed: int) -> tuple[list, list]:
 # -- file formats ------------------------------------------------------------
 
 
-def _read_jsonl(path: str | Path):
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record is not a JSON object", line=lineno)
-            yield lineno, record
-
-
-def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 def load_examples(path: str | Path, taxonomy: Taxonomy | None = None) -> list[LabeledExample]:
     """Single-turn examples; with a ``taxonomy``, every intent id must be in it."""
     examples = []
-    for lineno, record in _read_jsonl(path):
+    for lineno, record in read_jsonl(path):
         try:
             example = LabeledExample(
                 query=str(record["query"]),
@@ -281,7 +260,7 @@ def load_examples(path: str | Path, taxonomy: Taxonomy | None = None) -> list[La
 
 
 def save_examples(examples: Iterable[LabeledExample], path: str | Path) -> None:
-    _write_jsonl(
+    write_jsonl(
         path,
         (
             {"query": e.query, "intent_id": e.intent_id, "lang": e.language}
@@ -290,25 +269,25 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path) -> None:
     )
 
 
+def session_from_record(record: dict, lineno: int) -> Session:
+    """Parse one session object, naming ``lineno`` in any ParseError."""
+    try:
+        turns = record["turns"]
+        if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
+            raise ParseError("turns must be a list of strings", line=lineno)
+        history = record.get("history_intents")
+        return Session(
+            id=str(record["id"]),
+            turns=tuple(turns),
+            history_intents=tuple(history) if history is not None else None,
+            gold_intent=record.get("gold_intent"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad session record: {exc}", line=lineno) from exc
+
+
 def load_sessions(path: str | Path) -> list[Session]:
-    sessions = []
-    for lineno, record in _read_jsonl(path):
-        try:
-            history = record.get("history_intents")
-            turns = record["turns"]
-            if not isinstance(turns, list) or not all(isinstance(t, str) for t in turns):
-                raise ParseError("turns must be a list of strings", line=lineno)
-            sessions.append(
-                Session(
-                    id=str(record["id"]),
-                    turns=tuple(turns),
-                    history_intents=tuple(history) if history is not None else None,
-                    gold_intent=record.get("gold_intent"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad session record: {exc}", line=lineno) from exc
-    return sessions
+    return [session_from_record(record, lineno) for lineno, record in read_jsonl(path)]
 
 
 def save_sessions(sessions: Iterable[Session], path: str | Path) -> None:
@@ -320,21 +299,21 @@ def save_sessions(sessions: Iterable[Session], path: str | Path) -> None:
         if s.gold_intent is not None:
             record["gold_intent"] = s.gold_intent
         records.append(record)
-    _write_jsonl(path, records)
+    write_jsonl(path, records)
 
 
 def load_chat_logs(path: str | Path) -> list[list[str]]:
     logs = []
-    for lineno, record in _read_jsonl(path):
-        try:
-            logs.append([str(i) for i in record["intent_sequence"]])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad chat-log record: {exc}", line=lineno) from exc
+    for lineno, record in read_jsonl(path):
+        sequence = record.get("intent_sequence")
+        if not isinstance(sequence, list):
+            raise ParseError("intent_sequence must be a list of intent ids", line=lineno)
+        logs.append([str(i) for i in sequence])
     return logs
 
 
 def save_chat_logs(logs: Iterable[Sequence[str]], path: str | Path) -> None:
-    _write_jsonl(
+    write_jsonl(
         path,
         (
             {"session_id": f"log-{i:06d}", "intent_sequence": list(seq)}
@@ -350,14 +329,19 @@ def save_transition_model(tm: TransitionModel, path: str | Path) -> None:
         "trans": tm.trans.tolist(),
         "length_dist": {str(k): v for k, v in tm.length_dist.items()},
     }
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, record)
 
 
 def load_transition_model(path: str | Path) -> TransitionModel:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    return TransitionModel(
-        states=list(record["states"]),
-        start_dist=np.array(record["start_dist"]),
-        trans=np.array(record["trans"]),
-        length_dist={int(k): float(v) for k, v in record["length_dist"].items()},
-    )
+    record = read_json(path)
+    try:
+        if not isinstance(record["length_dist"], dict):
+            raise ParseError("bad transition model: length_dist is not an object")
+        return TransitionModel(
+            states=list(record["states"]),
+            start_dist=np.array(record["start_dist"]),
+            trans=np.array(record["trans"]),
+            length_dist={int(k): float(v) for k, v in record["length_dist"].items()},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad transition model: {exc}") from exc

@@ -11,20 +11,20 @@ as the hallucination rate.
 
 from __future__ import annotations
 
-import json
 import weakref
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Session
+from .corpus import Session, session_from_record
 from .errors import ClaraError, ParseError
 from .gestalt import gestalt_similarity
+from .jsonio import read_jsonl, write_json, write_jsonl
 from .llm import Backend, CompletionRequest, complete
 from .prompts import Ordering, render
 from .retrieval import RetrievalIndex, retrieve
@@ -335,80 +335,61 @@ def verdict_to_dict(verdict: ConsistencyVerdict) -> dict:
 
 
 def save_pseudo_labels(labels: Sequence[PseudoLabel], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for label in labels:
-            session = label.session
-            record = {
-                "session": {
-                    "id": session.id,
-                    "turns": list(session.turns),
-                    "history_intents": list(session.history_intents)
-                    if session.history_intents is not None
-                    else None,
-                    "gold_intent": session.gold_intent,
-                },
-                "intent_id": label.intent_id,
-                "template": label.template,
-                "k": label.k,
-                "runs": verdict_to_dict(label.provenance)["runs"],
-                "consistent": True,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(path, map(_pseudo_label_record, labels))
+
+
+def _pseudo_label_record(label: PseudoLabel) -> dict:
+    session = label.session
+    return {
+        "session": {
+            "id": session.id,
+            "turns": list(session.turns),
+            "history_intents": list(session.history_intents)
+            if session.history_intents is not None
+            else None,
+            "gold_intent": session.gold_intent,
+        },
+        "intent_id": label.intent_id,
+        "template": label.template,
+        "k": label.k,
+        "runs": verdict_to_dict(label.provenance)["runs"],
+        "consistent": True,
+    }
 
 
 def load_pseudo_labels(path: str | Path) -> list[PseudoLabel]:
     labels = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                raw_session = record["session"]
-                history = raw_session.get("history_intents")
-                session = Session(
-                    id=raw_session["id"],
-                    turns=tuple(raw_session["turns"]),
-                    history_intents=tuple(history) if history is not None else None,
-                    gold_intent=raw_session.get("gold_intent"),
+    for lineno, record in read_jsonl(path):
+        try:
+            session = session_from_record(record["session"], lineno)
+            runs = tuple(
+                RunRecord(
+                    ordering=run["ordering"],
+                    raw=run["raw"],
+                    intent_id=run["resolved"],
+                    resolution=run.get("resolution"),
                 )
-                runs = tuple(
-                    RunRecord(
-                        ordering=run["ordering"],
-                        raw=run["raw"],
-                        intent_id=run["resolved"],
-                        resolution=run.get("resolution"),
-                    )
-                    for run in record["runs"]
+                for run in record["runs"]
+            )
+            verdict = ConsistencyVerdict(
+                session_id=session.id,
+                runs=runs,
+                consistent=True,
+                final_label=record["intent_id"],
+            )
+            labels.append(
+                PseudoLabel(
+                    session=session,
+                    intent_id=record["intent_id"],
+                    template=record["template"],
+                    k=int(record["k"]),
+                    provenance=verdict,
                 )
-                verdict = ConsistencyVerdict(
-                    session_id=session.id,
-                    runs=runs,
-                    consistent=True,
-                    final_label=record["intent_id"],
-                )
-                labels.append(
-                    PseudoLabel(
-                        session=session,
-                        intent_id=record["intent_id"],
-                        template=record["template"],
-                        k=int(record["k"]),
-                        provenance=verdict,
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad pseudo-label record: {exc}", line=lineno) from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad pseudo-label record: {exc}", line=lineno) from exc
     return labels
 
 
 def save_filter_stats(stats: FilterStats, path: str | Path) -> None:
-    record = {
-        "total": stats.total,
-        "kept": stats.kept,
-        "discarded": stats.discarded,
-        "errored": stats.errored,
-        "retention_rate": stats.retention_rate,
-        "hallucination_rate": stats.hallucination_rate,
-    }
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, asdict(stats))

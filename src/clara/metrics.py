@@ -59,9 +59,22 @@ def resolution_rate(sessions: Sequence[Mapping]) -> float:
 
 @dataclass(frozen=True)
 class ConsistencyPrecision:
-    precision_kept: float
-    accuracy_all: float
-    removed_fraction: float
+    kept_hits: int
+    kept: int
+    all_hits: int
+    total: int
+
+    @property
+    def precision_kept(self) -> float:
+        return self.kept_hits / self.kept if self.kept else float("nan")
+
+    @property
+    def accuracy_all(self) -> float:
+        return self.all_hits / self.total
+
+    @property
+    def removed_fraction(self) -> float:
+        return (self.total - self.kept) / self.total
 
 
 def consistency_precision(
@@ -85,9 +98,7 @@ def consistency_precision(
         1 for v in verdicts if v.runs and v.runs[0].intent_id == golds[v.session_id]
     )
     return ConsistencyPrecision(
-        precision_kept=kept_hits / len(kept) if kept else float("nan"),
-        accuracy_all=all_hits / len(verdicts),
-        removed_fraction=(len(verdicts) - len(kept)) / len(verdicts),
+        kept_hits=kept_hits, kept=len(kept), all_hits=all_hits, total=len(verdicts)
     )
 
 

@@ -10,12 +10,12 @@ identified by their full path from the root, not by bare names.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ClaraError, ParseError
+from .jsonio import read_jsonl, write_jsonl
 
 DEPTH = 3
 PATH_SEPARATOR = " > "
@@ -237,61 +237,50 @@ def load_taxonomy(source: str | Path, tree: Mapping | None = None) -> Taxonomy:
     one of its root-to-leaf paths (else DanglingCategory).
     """
     intents = []
-    path = Path(source)
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record is not a JSON object", line=lineno)
-            try:
-                category = record["category"]
-                if (
-                    not isinstance(category, list)
-                    or not category
-                    or not all(isinstance(c, str) and c.strip() for c in category)
-                ):
-                    raise ParseError(
-                        "category must be a non-empty array of names", line=lineno
-                    )
-                if len(category) > DEPTH:
-                    raise ParseError(
-                        f"category path deeper than {DEPTH} levels", line=lineno
-                    )
-                intent = Intent(
-                    id=str(record["id"]),
-                    title=str(record["title"]),
-                    category_path=_pad_path(category),
-                    rep_query=str(record["rep_query"]),
-                    compressed_label=record.get("compressed"),
-                    language=str(record.get("lang", "en")),
-                )
-            except KeyError as exc:
-                raise ParseError(f"missing field {exc.args[0]!r}", line=lineno) from exc
-            intents.append(intent)
+    for lineno, record in read_jsonl(source):
+        try:
+            category = record["category"]
+            if (
+                not isinstance(category, list)
+                or not category
+                or not all(isinstance(c, str) and c.strip() for c in category)
+            ):
+                raise ParseError("category must be a non-empty array of names", line=lineno)
+            if len(category) > DEPTH:
+                raise ParseError(f"category path deeper than {DEPTH} levels", line=lineno)
+            compressed = record.get("compressed")
+            if compressed is not None and not isinstance(compressed, str):
+                raise ParseError("compressed must be a string or null", line=lineno)
+            intent = Intent(
+                id=str(record["id"]),
+                title=str(record["title"]),
+                category_path=_pad_path(category),
+                rep_query=str(record["rep_query"]),
+                compressed_label=compressed,
+                language=str(record.get("lang", "en")),
+            )
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc.args[0]!r}", line=lineno) from exc
+        intents.append(intent)
     return Taxonomy(intents, tree=tree)
 
 
 def save_taxonomy(taxonomy: Taxonomy, destination: str | Path) -> None:
     """Write the knowledge base back out in the JSON-lines file format."""
-    path = Path(destination)
-    with path.open("w", encoding="utf-8") as handle:
-        for intent in taxonomy.intents:
-            record = {
-                "id": intent.id,
-                "title": intent.title,
-                "category": list(intent.category_path),
-                "rep_query": intent.rep_query,
-                "lang": intent.language,
-            }
-            if intent.compressed_label is not None:
-                record["compressed"] = intent.compressed_label
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_jsonl(destination, map(_intent_record, taxonomy.intents))
+
+
+def _intent_record(intent: Intent) -> dict:
+    record = {
+        "id": intent.id,
+        "title": intent.title,
+        "category": list(intent.category_path),
+        "rep_query": intent.rep_query,
+        "lang": intent.language,
+    }
+    if intent.compressed_label is not None:
+        record["compressed"] = intent.compressed_label
+    return record
 
 
 def set_compressed_label(intent: Intent, label: str | None) -> Intent:

@@ -25,6 +25,79 @@ def run(args):
     return main([str(a) for a in args])
 
 
+SESSION = json.dumps({"id": "s1", "turns": ["where is my parcel"]})
+PREDICTION = json.dumps({"session_id": "s1", "intent_id": "I011"})
+REPLAY = json.dumps({"completed_flow": True, "transferred": False, "bad_rating": False})
+PSEUDO = {
+    "session": {"id": "s1", "turns": ["hi"], "history_intents": None, "gold_intent": None},
+    "intent_id": "I011",
+    "template": "base",
+    "k": 2,
+    "runs": [],
+    "consistent": True,
+}
+KB_RECORD = {"id": "I1", "title": "Track", "category": ["Orders"], "rep_query": "where"}
+
+STATS = ["corpus", "stats", "--kb", "{kb}", "--examples", "{examples}", "--sessions", "{bad}"]
+EVAL = ["eval", "--predictions", "{bad}", "--sessions", "{sessions}"]
+MOCK = ["pseudo-label", "--kb", "{kb}", "--examples", "{examples}", "--sessions", "{sessions}"]
+MOCK += ["--backend", "mock", "--mock-rules", "{bad}", "-o", "{out}"]
+SYNTH = ["corpus", "synth", "--examples", "{examples}", "--transitions", "{bad}", "-n", "3"]
+SYNTH += ["-o", "{out}"]
+CONFIG = ["--config", "{bad}", "taxonomy", "validate", "{kb}"]
+
+# (id, argv with "{bad}" for the malformed file, its content, "line N" expected or None)
+MALFORMED = [
+    ("array", STATS, f"{SESSION}\n\n[1, 2]\n", "line 3"),
+    ("null", STATS, f"{SESSION}\n\nnull\n", "line 3"),
+    ("turns-is-a-string", STATS, f'{SESSION}\n\n{{"id": "s9", "turns": "hello there"}}\n', "line 3"),
+    ("turn-not-a-string", STATS, f'{SESSION}\n\n{{"id": "s9", "turns": ["hi", 3]}}\n', "line 3"),
+    ("predictions-bad-json", EVAL, f"{PREDICTION}\n{{not json\n", "line 2"),
+    ("predictions-array", EVAL, f"{PREDICTION}\n[1,2]\n", "line 2"),
+    ("predictions-no-intent", EVAL, f'{PREDICTION}\n{{"session_id": "s2"}}\n', "line 2"),
+    ("replay-bad-json", ["eval", "--replay", "{bad}"], f"{REPLAY}\n{{not json\n", "line 2"),
+    (
+        "replay-no-completed-flow",
+        ["eval", "--replay", "{bad}"],
+        f'{REPLAY}\n{{"transferred": false, "bad_rating": false}}\n',
+        "line 2",
+    ),
+    ("config-bad-json", CONFIG, "{bad", "line 1"),
+    ("config-not-an-object", CONFIG, "[1]", None),
+    ("mock-rules-bad-json", MOCK, '{"rules": []\n{bad', "line 2"),
+    ("mock-rule-no-contains", MOCK, '{"rules": [{"response": "Track Package"}]}', None),
+    ("transitions-bad-json", SYNTH, "{bad", "line 1"),
+    (
+        "transitions-length-dist-not-an-object",
+        SYNTH,
+        json.dumps(
+            {"states": ["I011"], "start_dist": [1.0], "trans": [[1.0]], "length_dist": [["2", 1.0]]}
+        ),
+        None,
+    ),
+    (
+        "chat-log-sequence-is-a-string",
+        ["corpus", "transitions", "--logs", "{bad}", "-o", "{out}"],
+        '{"intent_sequence": ["I011"]}\n{"intent_sequence": "I011"}\n',
+        "line 2",
+    ),
+    (
+        "pseudo-turns-is-a-string",
+        ["train", "--kb", "{kb}", "--pseudo", "{bad}", "-o", "{out}", "--epochs", "1"],
+        json.dumps(PSEUDO)
+        + "\n"
+        + json.dumps({**PSEUDO, "session": {**PSEUDO["session"], "turns": "hello there"}}),
+        "line 2",
+    ),
+    (
+        "kb-compressed-not-a-string",
+        ["taxonomy", "validate", "{bad}"],
+        json.dumps(KB_RECORD) + "\n" + json.dumps({**KB_RECORD, "id": "I2", "compressed": 5}),
+        "line 2",
+    ),
+]
+
+
 class TestTaxonomyCommands:
     def test_validate_ok(self, workspace, capsys):
         _, kb, _, _ = workspace
@@ -86,20 +159,23 @@ class TestCorpusCommands:
 
 
     @pytest.mark.parametrize(
-        "bad_record",
-        ["[1, 2]", "null", '{"id": "s9", "turns": "hello there"}', '{"id": "s9", "turns": ["hi", 3]}'],
-        ids=["array", "null", "turns-is-a-string", "turn-not-a-string"],
+        "argv, content, where",
+        [row[1:] for row in MALFORMED],
+        ids=[row[0] for row in MALFORMED],
     )
-    def test_malformed_session_names_its_line(self, workspace, capsys, bad_record):
-        tmp_path, kb, examples_path, _ = workspace
-        sessions_path = tmp_path / "bad-sessions.jsonl"
-        good = json.dumps({"id": "s1", "turns": ["where is my parcel"]})
-        sessions_path.write_text(f"{good}\n\n{bad_record}\n", encoding="utf-8")
-        code = run(
-            ["corpus", "stats", "--kb", kb, "--examples", examples_path, "--sessions", sessions_path]
-        )
-        assert code == 2
-        assert "line 3" in capsys.readouterr().err
+    def test_malformed_session_names_its_line(self, workspace, capsys, argv, content, where):
+        """Every input file: a malformed record exits 2, naming its line where it has one."""
+        tmp_path, kb, examples_path, sessions_path = workspace
+        bad = tmp_path / "bad-input"
+        bad.write_text(content, encoding="utf-8")
+        paths = {"kb": kb, "examples": examples_path, "sessions": sessions_path, "bad": bad}
+        paths["out"] = tmp_path / "out"
+        code = run([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ")
+        if where is not None:
+            assert where in err
 
 
 class TestPipelineCommands:

@@ -1,5 +1,6 @@
 import dataclasses
 import difflib
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from clara import labeling
 from clara.benchmarks import build_taxonomy, make_examples, make_sessions, market_corpus
+from clara.errors import ParseError
 from clara.gestalt import gestalt_similarity
 from clara.labeling import (
     EmptyGeneration,
@@ -284,6 +286,22 @@ def test_pseudo_label_round_trip(tmp_path):
     assert [l.intent_id for l in again] == [l.intent_id for l in labels]
     assert [l.session for l in again] == [l.session for l in labels]
     assert all(l.provenance.consistent for l in again)
+
+
+def test_load_pseudo_labels_rejects_string_turns(tmp_path):
+    taxonomy, sessions, index = pipeline_fixture(n_sessions=3)
+    labels, _, _ = pseudo_label_corpus(
+        sessions, taxonomy, index, "base", 4, gold_oracle_backend(sessions, taxonomy), 7
+    )
+    path = tmp_path / "pseudo.jsonl"
+    save_pseudo_labels(labels[:1], path)
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["session"]["turns"] = "hello there"
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+    with pytest.raises(ParseError, match="turns must be a list of strings") as exc:
+        load_pseudo_labels(path)
+    assert exc.value.line == 2
 
 
 def test_hallucination_rate_counts_fuzzy_runs():

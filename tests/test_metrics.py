@@ -111,6 +111,7 @@ class TestConsistencyPrecision:
         assert result.precision_kept == 1.0
         assert result.accuracy_all == 0.9
         assert result.removed_fraction == 0.10
+        assert (result.kept_hits, result.kept, result.all_hits, result.total) == (90, 90, 90, 100)
 
     def test_no_inconsistencies_precision_equals_accuracy(self):
         verdicts = [verdict(f"s{i}", ["G", "G", "G"]) for i in range(5)]
