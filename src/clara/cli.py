@@ -31,7 +31,16 @@ from .errors import ClaraError, ParseError
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return jsonio.read_json(path)
+    config = jsonio.read_json(path)
+    settings = config.get("llm", {})
+    if not isinstance(settings, dict):
+        raise ParseError(f"{path}: llm must be an object")
+    for key in ("endpoint", "model", "api_key"):
+        if key in settings and not isinstance(settings[key], str):
+            raise ParseError(f"{path}: llm.{key} must be a string")
+    if "mock_rules" in config and not isinstance(config["mock_rules"], str):
+        raise ParseError(f"{path}: mock_rules must be a string")
+    return config
 
 
 def _embedder(args) -> retrieval.EmbeddingProvider:
@@ -56,11 +65,23 @@ def _backend(args, config: dict, sessions=None, tax=None) -> llm.Backend:
         if not rules_path:
             raise ClaraError("mock backend needs --mock-rules or config.mock_rules")
         script = jsonio.read_json(rules_path)
-        try:
-            rules = [(rule["contains"], rule["response"]) for rule in script.get("rules", [])]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"mock rules need 'contains' and 'response': {exc}") from exc
-        return llm.MockBackend(rules=rules, default=script.get("default"))
+        rules = script.get("rules", [])
+        if not isinstance(rules, list) or not all(
+            isinstance(rule, dict)
+            and isinstance(rule.get("contains"), str)
+            and isinstance(rule.get("response"), str)
+            for rule in rules
+        ):
+            raise ParseError(
+                f"{rules_path}: rules must be a list of objects with string "
+                "'contains' and 'response'"
+            )
+        default = script.get("default")
+        if default is not None and not isinstance(default, str):
+            raise ParseError(f"{rules_path}: default must be a string or null")
+        return llm.MockBackend(
+            rules=[(rule["contains"], rule["response"]) for rule in rules], default=default
+        )
     if kind == "oracle":
         missing = [s.id for s in sessions if s.gold_intent is None]
         if missing:

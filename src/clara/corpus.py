@@ -253,6 +253,8 @@ def load_examples(path: str | Path, taxonomy: Taxonomy | None = None) -> list[La
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad single-turn record: {exc}", line=lineno) from exc
+        if not example.query:
+            raise ParseError("query must not be empty", line=lineno)
         if taxonomy is not None and not taxonomy.has_intent(example.intent_id):
             raise ParseError(f"unknown intent id {example.intent_id!r}", line=lineno)
         examples.append(example)

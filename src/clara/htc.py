@@ -10,6 +10,13 @@ An ensemble of two heads over a frozen text embedding H:
   per-level mean embeddings, and classifies all tree nodes at once, the node
   logits being split per level.
 
+Every leaf carries the same H, so two nodes whose subtrees have the same
+shape (the ordered shapes of their children; a leaf's shape is empty) carry
+the same embedding.  The tree's index structure, shapes included, is built
+once per taxonomy, and the forward pass computes each level's child mean,
+pre-activation and embedding once per shape, shared by every node of that
+shape.  The outputs are bit for bit those of computing every node.
+
 The per-layer class probabilities are ``softmax(local + global)``.  Training
 is plain batched gradient descent with Adam updates; all gradients here are
 derived analytically and checked against finite differences in the tests.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -167,13 +175,26 @@ def zero_params(taxonomy: Taxonomy, dimension: int = DEFAULT_DIMENSION) -> HTCPa
 class TreeStructure:
     level_paths: tuple[tuple[tuple[str, ...], ...], ...]
     children: tuple[tuple[tuple[int, ...], ...], ...]  # per parent level 1..2
+    # Per parent level 1..2, the distinct subtree shapes: one representative
+    # children tuple per shape, and each node's shape number.  A node's shape
+    # is the ordered tuple of its children's shape numbers (every leaf has
+    # shape 0); each level numbers its shapes in order of first appearance.
+    shape_children: tuple[tuple[tuple[int, ...], ...], ...]
+    shape_of: tuple[tuple[int, ...], ...]
 
     @property
     def sizes(self) -> tuple[int, int, int]:
         return tuple(len(level) for level in self.level_paths)  # type: ignore[return-value]
 
 
+_trees: "weakref.WeakKeyDictionary[Taxonomy, TreeStructure]" = weakref.WeakKeyDictionary()
+
+
 def tree_structure(taxonomy: Taxonomy) -> TreeStructure:
+    """The taxonomy's tree as index tuples, built once per taxonomy and cached."""
+    cached = _trees.get(taxonomy)
+    if cached is not None:
+        return cached
     sizes = taxonomy.layer_sizes
     if any(s == 0 for s in sizes):
         raise UnsimplifiedTaxonomy("taxonomy must have classes at all 3 layers")
@@ -185,10 +206,28 @@ def tree_structure(taxonomy: Taxonomy) -> TreeStructure:
         for path in levels[parent_level]:
             rows.append(tuple(index[parent_level + 1][c] for c in taxonomy.children(path)))
         children.append(tuple(rows))
-    return TreeStructure(
+    shape_children: list[tuple] = [(), ()]
+    shape_of: list[tuple] = [(), ()]
+    below: Sequence[int] = (0,) * sizes[2]
+    for parent_level in (1, 0):
+        shapes: dict[tuple[int, ...], int] = {}
+        representatives, node_shapes = [], []
+        for kids in children[parent_level]:
+            key = tuple(below[c] for c in kids)
+            if key not in shapes:
+                shapes[key] = len(representatives)
+                representatives.append(kids)
+            node_shapes.append(shapes[key])
+        shape_children[parent_level] = tuple(representatives)
+        shape_of[parent_level] = below = tuple(node_shapes)
+    tree = TreeStructure(
         level_paths=tuple(tuple(level) for level in levels),
         children=tuple(children),
+        shape_children=tuple(shape_children),
+        shape_of=tuple(shape_of),
     )
+    _trees[taxonomy] = tree
+    return tree
 
 
 def targets_for_intent(taxonomy: Taxonomy, intent_id: str) -> tuple[int, int, int]:
@@ -249,21 +288,27 @@ def _forward_batch(hs: np.ndarray, params: HTCParams, tree: TreeStructure) -> _F
         prev = hidden
 
     sizes = tree.sizes
-    leaf = [hs for _ in range(sizes[2])]
-    embeddings: list[list[np.ndarray]] = [[], [], leaf]
+    embeddings: list[list[np.ndarray]] = [[], [], [hs] * sizes[2]]
     child_means: list[list[np.ndarray]] = [[], []]
     zs: list[list[np.ndarray]] = [[], []]
     for parent_level in (1, 0):  # build level 2 from leaves, then level 1
         w = params.tree_w[parent_level]
         b = params.tree_b[parent_level]
-        for kids in tree.children[parent_level]:
+        # nodes of one shape have equal children embeddings, so they share arrays
+        shared = []
+        for kids in tree.shape_children[parent_level]:
             mean = sum(embeddings[parent_level + 1][c] for c in kids) / len(kids)
             z = mean @ w + b
+            shared.append((mean, z, np.maximum(z, 0.0)))
+        for shape in tree.shape_of[parent_level]:
+            mean, z, embedding = shared[shape]
             child_means[parent_level].append(mean)
             zs[parent_level].append(z)
-            embeddings[parent_level].append(np.maximum(z, 0.0))
+            embeddings[parent_level].append(embedding)
 
-    means = [sum(level) / len(level) for level in embeddings]
+    # every leaf carries hs; this reduction adds the copies in the same order as sum()
+    leaf_sum = np.add.reduce(np.broadcast_to(hs, (sizes[2],) + hs.shape), axis=0)
+    means = [sum(level) / len(level) for level in embeddings[:2]] + [leaf_sum / sizes[2]]
     g = np.concatenate(means, axis=1)
     node_logits = g @ params.wg + params.bg
     splits = np.cumsum(sizes)[:-1]
@@ -583,7 +628,8 @@ def predict(
     text = session_input_text(session, strategy, embedder)
     output = forward(text, embedder, params, taxonomy)
     indices = tuple(int(p.argmax()) for p in output.probs)
-    paths = [taxonomy.layer_paths(l + 1)[indices[l]] for l in range(DEPTH)]
+    level_paths = tree_structure(taxonomy).level_paths
+    paths = [level_paths[l][indices[l]] for l in range(DEPTH)]
     hosted = taxonomy.intents_at_leaf(paths[DEPTH - 1])
     return Prediction(
         strategy=strategy,

@@ -37,6 +37,7 @@ PSEUDO = {
     "consistent": True,
 }
 KB_RECORD = {"id": "I1", "title": "Track", "category": ["Orders"], "rep_query": "where"}
+EXAMPLE = json.dumps({"query": "where is my parcel", "intent_id": "I011"})
 
 STATS = ["corpus", "stats", "--kb", "{kb}", "--examples", "{examples}", "--sessions", "{bad}"]
 EVAL = ["eval", "--predictions", "{bad}", "--sessions", "{sessions}"]
@@ -95,6 +96,24 @@ MALFORMED = [
         json.dumps(KB_RECORD) + "\n" + json.dumps({**KB_RECORD, "id": "I2", "compressed": 5}),
         "line 2",
     ),
+    (
+        "examples-empty-query",
+        ["train", "--kb", "{kb}", "--examples", "{bad}", "-o", "{out}", "--epochs", "1"],
+        f'{EXAMPLE}\n{{"query": "", "intent_id": "I011"}}\n',
+        "line 2",
+    ),
+]
+
+# (id, argv with "{bad}" for the file, its content): a field of the wrong type
+MISTYPED = [
+    ("config-llm-not-an-object", CONFIG, '{"llm": 5}'),
+    ("config-llm-endpoint", CONFIG, '{"llm": {"endpoint": 5}}'),
+    ("config-llm-model", CONFIG, '{"llm": {"endpoint": "http://localhost:1", "model": ["m"]}}'),
+    ("config-llm-api-key", CONFIG, '{"llm": {"api_key": 5}}'),
+    ("config-mock-rules", CONFIG, '{"mock_rules": 5}'),
+    ("mock-rules-default", MOCK, '{"rules": [], "default": 5}'),
+    ("mock-rule-contains", MOCK, '{"rules": [{"contains": 5, "response": "Track Package"}]}'),
+    ("mock-rule-response", MOCK, '{"rules": [{"contains": "", "response": 5}]}'),
 ]
 
 
@@ -176,6 +195,21 @@ class TestCorpusCommands:
         assert err.startswith("error: ")
         if where is not None:
             assert where in err
+
+    @pytest.mark.parametrize(
+        "argv, content", [row[1:] for row in MISTYPED], ids=[row[0] for row in MISTYPED]
+    )
+    def test_mistyped_field_names_its_file(self, workspace, capsys, argv, content):
+        """A well-formed --config or --mock-rules file with a wrong field type exits 2."""
+        tmp_path, kb, examples_path, sessions_path = workspace
+        bad = tmp_path / "bad-input"
+        bad.write_text(content, encoding="utf-8")
+        paths = {"kb": kb, "examples": examples_path, "sessions": sessions_path, "bad": bad}
+        paths["out"] = tmp_path / "out"
+        code = run([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {bad}: ")
 
 
 class TestPipelineCommands:

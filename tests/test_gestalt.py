@@ -3,6 +3,7 @@
 import difflib
 import random
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,10 +53,26 @@ def test_matches_reference_property(a, b):
     assert gestalt_similarity(a, b) == reference_ratio(a, b)
 
 
+def multiset_bound(a: str, b: str) -> float:
+    """Order-free upper bound: every matched character is shared by both multisets."""
+    shared = sum((Counter(a) & Counter(b)).values())
+    return 2.0 * shared / (len(a) + len(b))
+
+
 @given(st.text(min_size=1, max_size=40), st.text(min_size=1, max_size=40))
-def test_symmetric_and_identity_iff_equal(a, b):
-    assert gestalt_similarity(a, b) == gestalt_similarity(b, a)
-    if a == b:
-        assert gestalt_similarity(a, b) == 1.0
-    else:
-        assert gestalt_similarity(a, b) < 1.0
+def test_bounds_and_identity_iff_equal(a, b):
+    # the ratio is not symmetric (see test_swapped_arguments_can_differ), so
+    # every property is checked in both argument orders
+    for x, y in ((a, b), (b, a)):
+        score = gestalt_similarity(x, y)
+        assert 0.0 <= score <= 1.0
+        assert (score == 1.0) == (x == y)
+        assert score <= multiset_bound(x, y)
+
+
+def test_swapped_arguments_can_differ():
+    # "102" first: the anchor "1" leaves "02" against "2" to its right, so 2 matches.
+    # "212" first: the anchor is its first "2", which meets the last character
+    # of "102" and leaves nothing to match on either side, so 1 match.
+    assert gestalt_similarity("102", "212") == reference_ratio("102", "212") == 2 / 3
+    assert gestalt_similarity("212", "102") == reference_ratio("212", "102") == 1 / 3

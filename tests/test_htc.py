@@ -140,6 +140,73 @@ class TestGlobalForward:
                 assert np.allclose(g, w, atol=1e-12)
 
 
+def per_node_reference(hs, params, taxonomy):
+    """The tree head computed node by node, every leaf summed: (global logits, probs)."""
+    levels = [taxonomy.layer_paths(l) for l in (1, 2, 3)]
+    index = [{path: i for i, path in enumerate(level)} for level in levels]
+    embeddings = [[], [], [hs for _ in levels[2]]]
+    for parent_level in (1, 0):
+        w, b = params.tree_w[parent_level], params.tree_b[parent_level]
+        for path in levels[parent_level]:
+            kids = [index[parent_level + 1][c] for c in taxonomy.children(path)]
+            mean = sum(embeddings[parent_level + 1][c] for c in kids) / len(kids)
+            embeddings[parent_level].append(np.maximum(mean @ w + b, 0.0))
+    g = np.concatenate([sum(level) / len(level) for level in embeddings], axis=1)
+    node_logits = g @ params.wg + params.bg
+    global_logits = np.split(node_logits, np.cumsum(taxonomy.layer_sizes)[:-1], axis=1)
+    local, prev = [], None
+    for l in range(3):
+        inp = hs if l == 0 else np.concatenate([hs, prev], axis=1)
+        prev = inp @ params.w1[l] + params.b1[l]
+        local.append(prev @ params.w2[l] + params.b2[l])
+    return global_logits, [htc.softmax(x + y) for x, y in zip(local, global_logits)]
+
+
+# mids of 1, 2 and 3 leaves; the last layout puts 3-, 5- and 7-leaf mids in
+# three orders, and the rounding of a root's child sum depends on that order
+MIXED_LAYOUTS = [
+    ((1, 2, 3), (3, 1), (2, 2, 1)),
+    ((3,), (1, 1), (2, 3, 2)),
+    ((2, 1), (1, 2)),
+    ((3, 5, 7), (7, 5, 3), (5, 7, 3)),
+]
+
+
+class TestSharedSubtrees:
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize(
+        "layout", MIXED_LAYOUTS + [None], ids=["mixed0", "mixed1", "mixed2", "reordered", "desk"]
+    )
+    def test_bit_identical_to_per_node_loop(self, layout, batch):
+        tax = build_taxonomy() if layout is None else toy_taxonomy(layout)
+        d = 8
+        params = random_params(tax, d, seed=11)
+        hs = np.random.default_rng(batch).normal(size=(batch, d))
+        cache = htc._forward_batch(hs, params, htc.tree_structure(tax))
+        want_global, want_probs = per_node_reference(hs, params, tax)
+        for got, want in zip(cache.global_logits, want_global):
+            assert np.array_equal(got, want)
+        for got, want in zip(cache.probs, want_probs):
+            assert np.array_equal(got, want)
+
+    def test_structure_built_once_per_taxonomy(self):
+        tax = build_taxonomy()
+        assert htc.tree_structure(tax) is htc.tree_structure(tax)
+
+    def test_equal_layer_sizes_different_shapes(self):
+        three_one, two_two = toy_taxonomy(((3, 1),)), toy_taxonomy(((2, 2),))
+        assert three_one.layer_sizes == two_two.layer_sizes
+        a, b = htc.tree_structure(three_one), htc.tree_structure(two_two)
+        assert a.shape_of != b.shape_of
+        assert a.shape_children != b.shape_children
+        params = random_params(three_one, 4, seed=12)
+        hs = np.random.default_rng(12).normal(size=(3, 4))
+        for tax, tree in ((three_one, a), (two_two, b)):
+            cache = htc._forward_batch(hs, params, tree)
+            for got, want in zip(cache.probs, per_node_reference(hs, params, tax)[1]):
+                assert np.array_equal(got, want)
+
+
 class TestForward:
     def test_zero_params_uniform(self):
         tax = toy_taxonomy(layout=((2, 2),))  # layer sizes 1, 2, 4
@@ -372,3 +439,23 @@ class TestPersistence:
         other = toy_taxonomy(layout=((1, 2), (2, 1)))
         with pytest.raises(htc.ShapeMismatch):
             htc.load_params(path, taxonomy=other)
+
+
+class TestTracePath:
+    def test_predict_calls_forward_once_per_session(self, monkeypatch):
+        """Span tracing wraps ``htc.forward`` by name; predict must call it so."""
+        tax = build_taxonomy()
+        emb = HashedTrigramEmbedder(16)
+        params = random_params(tax, 16, seed=13)
+        calls = []
+        forward = htc.forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(htc, "forward", counted)
+        sessions = [Session(f"s{i}", ("hello", f"track order {i}")) for i in range(5)]
+        for session in sessions:
+            htc.predict(session, "naive_concat", params, tax, emb)
+        assert len(calls) == len(sessions)
