@@ -185,7 +185,7 @@ def cmd_train(args, config):
         for example in corpus.load_examples(args.examples, taxonomy=tax):
             pairs.append((example.query, example.intent_id))
     if args.pseudo:
-        for label in labeling.load_pseudo_labels(args.pseudo):
+        for label in labeling.load_pseudo_labels(args.pseudo, taxonomy=tax):
             text = htc.session_input_text(label.session, "naive_concat", embedder)
             pairs.append((text, label.intent_id))
     if not pairs:

@@ -5,6 +5,8 @@ Every validation or pipeline error raised by this package derives from
 from genuine bugs.
 """
 
+import os
+
 
 class ClaraError(Exception):
     """Base class for all errors raised by the clara package."""
@@ -21,11 +23,17 @@ class EmptyText(ClaraError):
 class ParseError(ClaraError):
     """A record in an input file could not be parsed.
 
-    Carries the 1-based line number of the offending record when known.
+    Carries the 1-based line number of the offending record and the file's
+    path when known; the message reads ``"{path}: line {line}: {message}"``.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(
+        self, message: str, line: int | None = None, path: str | os.PathLike | None = None
+    ):
         self.line = line
+        self.path = path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)

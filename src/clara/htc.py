@@ -10,12 +10,10 @@ An ensemble of two heads over a frozen text embedding H:
   per-level mean embeddings, and classifies all tree nodes at once, the node
   logits being split per level.
 
-Every leaf carries the same H, so two nodes whose subtrees have the same
-shape (the ordered shapes of their children; a leaf's shape is empty) carry
-the same embedding.  The tree's index structure, shapes included, is built
-once per taxonomy, and the forward pass computes each level's child mean,
-pre-activation and embedding once per shape, shared by every node of that
-shape.  The outputs are bit for bit those of computing every node.
+Every leaf carries the same H, so every node of a level carries the same
+embedding and the tree encoder has a closed form that never walks the tree:
+``e2 = relu(H A2 + a2)``, ``e1 = relu(e2 A1 + a1)``, ``g = [e1, e2, H]``.
+Only the layer sizes of the taxonomy enter the head.
 
 The per-layer class probabilities are ``softmax(local + global)``.  Training
 is plain batched gradient descent with Adam updates; all gradients here are
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 import io
 import json
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -168,68 +165,6 @@ def zero_params(taxonomy: Taxonomy, dimension: int = DEFAULT_DIMENSION) -> HTCPa
     return params
 
 
-# -- tree structure --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TreeStructure:
-    level_paths: tuple[tuple[tuple[str, ...], ...], ...]
-    children: tuple[tuple[tuple[int, ...], ...], ...]  # per parent level 1..2
-    # Per parent level 1..2, the distinct subtree shapes: one representative
-    # children tuple per shape, and each node's shape number.  A node's shape
-    # is the ordered tuple of its children's shape numbers (every leaf has
-    # shape 0); each level numbers its shapes in order of first appearance.
-    shape_children: tuple[tuple[tuple[int, ...], ...], ...]
-    shape_of: tuple[tuple[int, ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return tuple(len(level) for level in self.level_paths)  # type: ignore[return-value]
-
-
-_trees: "weakref.WeakKeyDictionary[Taxonomy, TreeStructure]" = weakref.WeakKeyDictionary()
-
-
-def tree_structure(taxonomy: Taxonomy) -> TreeStructure:
-    """The taxonomy's tree as index tuples, built once per taxonomy and cached."""
-    cached = _trees.get(taxonomy)
-    if cached is not None:
-        return cached
-    sizes = taxonomy.layer_sizes
-    if any(s == 0 for s in sizes):
-        raise UnsimplifiedTaxonomy("taxonomy must have classes at all 3 layers")
-    levels = [taxonomy.layer_paths(l) for l in range(1, DEPTH + 1)]
-    index = [{path: i for i, path in enumerate(level)} for level in levels]
-    children = []
-    for parent_level in (0, 1):
-        rows = []
-        for path in levels[parent_level]:
-            rows.append(tuple(index[parent_level + 1][c] for c in taxonomy.children(path)))
-        children.append(tuple(rows))
-    shape_children: list[tuple] = [(), ()]
-    shape_of: list[tuple] = [(), ()]
-    below: Sequence[int] = (0,) * sizes[2]
-    for parent_level in (1, 0):
-        shapes: dict[tuple[int, ...], int] = {}
-        representatives, node_shapes = [], []
-        for kids in children[parent_level]:
-            key = tuple(below[c] for c in kids)
-            if key not in shapes:
-                shapes[key] = len(representatives)
-                representatives.append(kids)
-            node_shapes.append(shapes[key])
-        shape_children[parent_level] = tuple(representatives)
-        shape_of[parent_level] = below = tuple(node_shapes)
-    tree = TreeStructure(
-        level_paths=tuple(tuple(level) for level in levels),
-        children=tuple(children),
-        shape_children=tuple(shape_children),
-        shape_of=tuple(shape_of),
-    )
-    _trees[taxonomy] = tree
-    return tree
-
-
 def targets_for_intent(taxonomy: Taxonomy, intent_id: str) -> tuple[int, int, int]:
     """Per-layer class indices of an intent's category path."""
     path = taxonomy.intent(intent_id).category_path
@@ -258,24 +193,21 @@ class _ForwardCache:
     inputs: list[np.ndarray]  # per layer, what W1_l multiplied
     ls: list[np.ndarray]
     local: list[np.ndarray]
-    child_means: list[list[np.ndarray]]  # per parent level, per node (B,d)
-    zs: list[list[np.ndarray]]  # pre-relu, per parent level, per node
-    embeddings: list[list[np.ndarray]]  # node embeddings per level 1..3
-    g: np.ndarray
-    node_logits: np.ndarray
+    z1: np.ndarray  # tree pre-activations, (B,d) each
+    z2: np.ndarray
+    g: np.ndarray  # [e1, e2, H]
     global_logits: list[np.ndarray]
     logits: list[np.ndarray]
     probs: list[np.ndarray]
 
 
-def _forward_batch(hs: np.ndarray, params: HTCParams, tree: TreeStructure) -> _ForwardCache:
+def _forward_batch(hs: np.ndarray, params: HTCParams, taxonomy: Taxonomy) -> _ForwardCache:
     d = params.dimension
     if hs.ndim != 2 or hs.shape[1] != d:
         raise ShapeMismatch(f"features have shape {hs.shape}, expected (batch, {d})")
-    if tree.sizes != params.layer_sizes:
-        raise ShapeMismatch(
-            f"taxonomy layers {tree.sizes} do not match params {params.layer_sizes}"
-        )
+    sizes = taxonomy.layer_sizes
+    if sizes != params.layer_sizes:
+        raise ShapeMismatch(f"taxonomy layers {sizes} do not match params {params.layer_sizes}")
 
     inputs, ls, local = [], [], []
     prev = None
@@ -287,32 +219,12 @@ def _forward_batch(hs: np.ndarray, params: HTCParams, tree: TreeStructure) -> _F
         local.append(hidden @ params.w2[l] + params.b2[l])
         prev = hidden
 
-    sizes = tree.sizes
-    embeddings: list[list[np.ndarray]] = [[], [], [hs] * sizes[2]]
-    child_means: list[list[np.ndarray]] = [[], []]
-    zs: list[list[np.ndarray]] = [[], []]
-    for parent_level in (1, 0):  # build level 2 from leaves, then level 1
-        w = params.tree_w[parent_level]
-        b = params.tree_b[parent_level]
-        # nodes of one shape have equal children embeddings, so they share arrays
-        shared = []
-        for kids in tree.shape_children[parent_level]:
-            mean = sum(embeddings[parent_level + 1][c] for c in kids) / len(kids)
-            z = mean @ w + b
-            shared.append((mean, z, np.maximum(z, 0.0)))
-        for shape in tree.shape_of[parent_level]:
-            mean, z, embedding = shared[shape]
-            child_means[parent_level].append(mean)
-            zs[parent_level].append(z)
-            embeddings[parent_level].append(embedding)
-
-    # every leaf carries hs; this reduction adds the copies in the same order as sum()
-    leaf_sum = np.add.reduce(np.broadcast_to(hs, (sizes[2],) + hs.shape), axis=0)
-    means = [sum(level) / len(level) for level in embeddings[:2]] + [leaf_sum / sizes[2]]
-    g = np.concatenate(means, axis=1)
-    node_logits = g @ params.wg + params.bg
-    splits = np.cumsum(sizes)[:-1]
-    global_logits = list(np.split(node_logits, splits, axis=1))
+    # every leaf carries hs, so every node of a level carries the same embedding
+    z2 = hs @ params.tree_w[1] + params.tree_b[1]
+    e2 = np.maximum(z2, 0.0)
+    z1 = e2 @ params.tree_w[0] + params.tree_b[0]
+    g = np.concatenate([np.maximum(z1, 0.0), e2, hs], axis=1)
+    global_logits = np.split(g @ params.wg + params.bg, np.cumsum(sizes)[:-1], axis=1)
 
     logits = [local[l] + global_logits[l] for l in range(DEPTH)]
     probs = [softmax(x) for x in logits]
@@ -321,41 +233,13 @@ def _forward_batch(hs: np.ndarray, params: HTCParams, tree: TreeStructure) -> _F
         inputs=inputs,
         ls=ls,
         local=local,
-        child_means=child_means,
-        zs=zs,
-        embeddings=embeddings,
+        z1=z1,
+        z2=z2,
         g=g,
-        node_logits=node_logits,
         global_logits=global_logits,
         logits=logits,
         probs=probs,
     )
-
-
-def local_forward(h: np.ndarray, params: HTCParams) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Label-attention head only: per-layer hidden states and local logits."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (params.dimension,):
-        raise ShapeMismatch(f"H has shape {h.shape}, expected ({params.dimension},)")
-    hs = h[None, :]
-    prev = None
-    ls, local = [], []
-    for l in range(DEPTH):
-        inp = hs if l == 0 else np.concatenate([hs, prev], axis=1)
-        hidden = inp @ params.w1[l] + params.b1[l]
-        ls.append(hidden[0])
-        local.append((hidden @ params.w2[l] + params.b2[l])[0])
-        prev = hidden
-    return ls, local
-
-
-def global_forward(h: np.ndarray, params: HTCParams, taxonomy: Taxonomy) -> list[np.ndarray]:
-    """Tree head only: per-layer global logits for one embedding."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (params.dimension,):
-        raise ShapeMismatch(f"H has shape {h.shape}, expected ({params.dimension},)")
-    cache = _forward_batch(h[None, :], params, tree_structure(taxonomy))
-    return [x[0] for x in cache.global_logits]
 
 
 @dataclass
@@ -375,7 +259,7 @@ def forward(
 ) -> HTCOutput:
     """Full ensemble forward pass for one text."""
     h = embedder.embed(text)
-    cache = _forward_batch(np.asarray(h, dtype=float)[None, :], params, tree_structure(taxonomy))
+    cache = _forward_batch(np.asarray(h, dtype=float)[None, :], params, taxonomy)
     return HTCOutput(
         h=h,
         ls=[x[0] for x in cache.ls],
@@ -397,9 +281,7 @@ def _loss_from_cache(cache: _ForwardCache, targets: np.ndarray) -> float:
     return total / batch
 
 
-def _backward(
-    cache: _ForwardCache, targets: np.ndarray, params: HTCParams, tree: TreeStructure
-) -> dict[str, np.ndarray]:
+def _backward(cache: _ForwardCache, targets: np.ndarray, params: HTCParams) -> dict[str, np.ndarray]:
     batch = cache.hs.shape[0]
     d = params.dimension
     grads = {name: np.zeros_like(array) for name, array in params.named_arrays()}
@@ -421,30 +303,17 @@ def _backward(
         dinp = dhidden @ params.w1[l].T
         carry = dinp[:, d:] if l > 0 else np.zeros((batch, d))
 
-    # global head
+    # global head, then the tree: level 1 first, its gradient feeds e2
     dnode = np.concatenate(dlogits, axis=1)
     grads["wg"] += cache.g.T @ dnode
     grads["bg"] += dnode.sum(axis=0)
     dg = dnode @ params.wg.T
-    dmeans = [dg[:, :d], dg[:, d : 2 * d], dg[:, 2 * d :]]
-
-    sizes = tree.sizes
-    dembed = [
-        [dmeans[0] / sizes[0] for _ in range(sizes[0])],
-        [dmeans[1] / sizes[1] for _ in range(sizes[1])],
-    ]
-    for parent_level in (0, 1):  # top-down: level-1 gradients feed level-2 embeddings
-        w = params.tree_w[parent_level]
-        lower: list[np.ndarray] | None = dembed[1] if parent_level == 0 else None
-        for node, kids in enumerate(tree.children[parent_level]):
-            dz = dembed[parent_level][node] * (cache.zs[parent_level][node] > 0)
-            grads[f"tree_w_{parent_level + 1}"] += cache.child_means[parent_level][node].T @ dz
-            grads[f"tree_b_{parent_level + 1}"] += dz.sum(axis=0)
-            if lower is not None:
-                dmean = dz @ w.T
-                share = dmean / len(kids)
-                for c in kids:
-                    lower[c] = lower[c] + share
+    dz1 = dg[:, :d] * (cache.z1 > 0)
+    grads["tree_w_1"] += cache.g[:, d : 2 * d].T @ dz1
+    grads["tree_b_1"] += dz1.sum(axis=0)
+    dz2 = (dg[:, d : 2 * d] + dz1 @ params.tree_w[0].T) * (cache.z2 > 0)
+    grads["tree_w_2"] += cache.hs.T @ dz2
+    grads["tree_b_2"] += dz2.sum(axis=0)
     return grads
 
 
@@ -462,9 +331,8 @@ def loss_and_grads(
     for l in range(DEPTH):
         if np.any(targets[:, l] < 0) or np.any(targets[:, l] >= params.layer_sizes[l]):
             raise InvalidTarget(f"layer {l + 1} target outside 0..{params.layer_sizes[l] - 1}")
-    tree = tree_structure(taxonomy)
-    cache = _forward_batch(features, params, tree)
-    return _loss_from_cache(cache, targets), _backward(cache, targets, params, tree)
+    cache = _forward_batch(features, params, taxonomy)
+    return _loss_from_cache(cache, targets), _backward(cache, targets, params)
 
 
 # -- datasets -------------------------------------------------------------------------
@@ -498,8 +366,7 @@ def _accuracy(cache_probs: list[np.ndarray], targets: np.ndarray) -> float:
 
 def evaluate(dataset: HTCDataset, params: HTCParams, taxonomy: Taxonomy) -> tuple[float, float]:
     """(loss, leaf-layer accuracy) on a dataset."""
-    tree = tree_structure(taxonomy)
-    cache = _forward_batch(dataset.features, params, tree)
+    cache = _forward_batch(dataset.features, params, taxonomy)
     return _loss_from_cache(cache, dataset.targets), _accuracy(cache.probs, dataset.targets)
 
 
@@ -526,7 +393,6 @@ def train(
         raise EmptyDataset("training set is empty")
     d = dimension if dimension is not None else train_set.features.shape[1]
     params = init_params(taxonomy, d, seed=seed)
-    tree = tree_structure(taxonomy)
     rng = np.random.default_rng(seed)
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -546,8 +412,8 @@ def train(
             batch_idx = order[start : start + batch_size]
             features = train_set.features[batch_idx]
             targets = train_set.targets[batch_idx]
-            cache = _forward_batch(features, params, tree)
-            grads = _backward(cache, targets, params, tree)
+            cache = _forward_batch(features, params, taxonomy)
+            grads = _backward(cache, targets, params)
 
             step += 1
             for name, array in params.named_arrays():
@@ -558,7 +424,7 @@ def train(
                 v_hat = v[name] / (1 - beta2**step)
                 array -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        cache = _forward_batch(train_set.features, params, tree)
+        cache = _forward_batch(train_set.features, params, taxonomy)
         row = {
             "epoch": epoch,
             "train_loss": _loss_from_cache(cache, train_set.targets),
@@ -628,8 +494,7 @@ def predict(
     text = session_input_text(session, strategy, embedder)
     output = forward(text, embedder, params, taxonomy)
     indices = tuple(int(p.argmax()) for p in output.probs)
-    level_paths = tree_structure(taxonomy).level_paths
-    paths = [level_paths[l][indices[l]] for l in range(DEPTH)]
+    paths = [taxonomy.layer_paths(l + 1)[indices[l]] for l in range(DEPTH)]
     hosted = taxonomy.intents_at_leaf(paths[DEPTH - 1])
     return Prediction(
         strategy=strategy,

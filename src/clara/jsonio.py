@@ -1,7 +1,8 @@
 """The JSON and JSON-lines file formats: every file clara reads or writes.
 
-Readers return only JSON objects and raise :class:`ParseError` naming the line
-where the file has lines; writers fix the byte layout (sorted keys, final newline).
+Readers return only JSON objects and raise :class:`ParseError` naming the file,
+and the line where the file has lines; writers fix the byte layout (sorted keys,
+final newline).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+                raise ParseError(f"invalid JSON: {exc.msg}", line=lineno, path=path) from exc
             if not isinstance(record, dict):
-                raise ParseError("record is not a JSON object", line=lineno)
+                raise ParseError("record is not a JSON object", line=lineno, path=path)
             yield lineno, record
 
 
@@ -40,9 +41,9 @@ def read_json(path: str | Path) -> dict:
     try:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno, path=path) from exc
     if not isinstance(value, dict):
-        raise ParseError("file is not a JSON object")
+        raise ParseError("file is not a JSON object", path=path)
     return value
 
 

@@ -357,7 +357,8 @@ def _pseudo_label_record(label: PseudoLabel) -> dict:
     }
 
 
-def load_pseudo_labels(path: str | Path) -> list[PseudoLabel]:
+def load_pseudo_labels(path: str | Path, taxonomy: Taxonomy | None = None) -> list[PseudoLabel]:
+    """Kept pseudo-labels; with a ``taxonomy``, every intent id must be in it."""
     labels = []
     for lineno, record in read_jsonl(path):
         try:
@@ -377,17 +378,18 @@ def load_pseudo_labels(path: str | Path) -> list[PseudoLabel]:
                 consistent=True,
                 final_label=record["intent_id"],
             )
-            labels.append(
-                PseudoLabel(
-                    session=session,
-                    intent_id=record["intent_id"],
-                    template=record["template"],
-                    k=int(record["k"]),
-                    provenance=verdict,
-                )
+            label = PseudoLabel(
+                session=session,
+                intent_id=record["intent_id"],
+                template=record["template"],
+                k=int(record["k"]),
+                provenance=verdict,
             )
+            if taxonomy is not None and not taxonomy.has_intent(label.intent_id):
+                raise ParseError(f"unknown intent id {label.intent_id!r}", line=lineno)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad pseudo-label record: {exc}", line=lineno) from exc
+        labels.append(label)
     return labels
 
 

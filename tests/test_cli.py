@@ -91,6 +91,18 @@ MALFORMED = [
         "line 2",
     ),
     (
+        "pseudo-unknown-intent",
+        ["train", "--kb", "{kb}", "--pseudo", "{bad}", "-o", "{out}", "--epochs", "1"],
+        json.dumps(PSEUDO) + "\n" + json.dumps({**PSEUDO, "intent_id": "nope"}),
+        "line 2",
+    ),
+    (
+        "pseudo-intent-id-is-a-list",
+        ["train", "--kb", "{kb}", "--pseudo", "{bad}", "-o", "{out}", "--epochs", "1"],
+        json.dumps(PSEUDO) + "\n" + json.dumps({**PSEUDO, "intent_id": ["I011"]}),
+        "line 2",
+    ),
+    (
         "kb-compressed-not-a-string",
         ["taxonomy", "validate", "{bad}"],
         json.dumps(KB_RECORD) + "\n" + json.dumps({**KB_RECORD, "id": "I2", "compressed": 5}),
@@ -210,6 +222,17 @@ class TestCorpusCommands:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith(f"error: {bad}: ")
+
+    @pytest.mark.parametrize("argv", [CONFIG, STATS], ids=["config", "sessions"])
+    def test_bad_json_names_its_file(self, workspace, capsys, argv):
+        tmp_path, kb, examples_path, sessions_path = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad\n", encoding="utf-8")
+        paths = {"kb": kb, "examples": examples_path, "sessions": sessions_path, "bad": bad}
+        code = run([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {bad}: line 1: invalid JSON")
 
 
 class TestPipelineCommands:

@@ -31,6 +31,19 @@ def test_read_json_names_the_line_of_invalid_json(tmp_path):
     assert exc.value.line == 3
 
 
+def test_errors_name_their_file(tmp_path):
+    whole, lines = tmp_path / "bad.json", tmp_path / "bad.jsonl"
+    whole.write_text("{bad", encoding="utf-8")
+    lines.write_text('{"a": 1}\n[1]\n', encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        read_json(whole)
+    assert exc.value.path == whole
+    assert str(exc.value).startswith(f"{whole}: line 1: invalid JSON")
+    with pytest.raises(ParseError) as exc:
+        list(read_jsonl(lines))
+    assert str(exc.value) == f"{lines}: line 2: record is not a JSON object"
+
+
 def test_read_json_rejects_a_non_object(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("[1]", encoding="utf-8")
